@@ -44,15 +44,13 @@ func (n *Node) bootstrap(level int) {
 // new node is also a group leader from a lower level group").
 func (n *Node) onBootstrapRequest(m *wire.BootstrapRequest) {
 	n.stats.BootstrapsServed++
-	reply := &wire.DirectoryMsg{From: n.id, Ask: true, Infos: n.dir.Snapshot()}
-	n.ep.Unicast(topoHost(m.From), wire.Encode(reply))
+	n.ep.Unicast(topoHost(m.From), wire.EncodeDirectory(n.id, true, n.dir))
 }
 
 // onSyncRequest serves a full directory to a peer that detected an
 // unrecoverable update loss.
 func (n *Node) onSyncRequest(m *wire.SyncRequest) {
-	reply := &wire.DirectoryMsg{From: n.id, Infos: n.dir.Snapshot()}
-	n.ep.Unicast(topoHost(m.From), wire.Encode(reply))
+	n.ep.Unicast(topoHost(m.From), wire.EncodeDirectory(n.id, false, n.dir))
 }
 
 // onDirectoryMsg merges a full snapshot (bootstrap reply, sync reply, or a
@@ -76,9 +74,14 @@ func (n *Node) onDirectoryMsg(level int, m *wire.DirectoryMsg) {
 		lvl = 0
 	}
 	now := n.eng.Now()
+	// Only a leader propagates what it learns, and merging cannot change
+	// leadership, so followers skip collecting the joins.
+	leader := n.anyLeader()
 	var newlyLearned []membership.MemberInfo
 	var corrections []wire.Update
-	for _, info := range m.Infos {
+	n.dir.Reserve(m.MaxNode())
+	for it := m.Records(); it.Next(); {
+		info := it.Info()
 		if info.Node == n.id {
 			continue
 		}
@@ -100,8 +103,7 @@ func (n *Node) onDirectoryMsg(level int, m *wire.DirectoryMsg) {
 			})
 			continue
 		}
-		isJoin := n.dir.Upsert(info, membership.OriginRelayed, lvl, m.From, now)
-		if isJoin {
+		if n.dir.Upsert(info, membership.OriginRelayed, lvl, m.From, now) && leader {
 			newlyLearned = append(newlyLearned, info)
 		}
 	}
@@ -116,13 +118,10 @@ func (n *Node) onDirectoryMsg(level int, m *wire.DirectoryMsg) {
 	// joining leader's whole subtree becomes known cluster-wide ("the
 	// result is then propagated to all group members using the update
 	// protocol").
-	if n.anyLeader() {
-		for _, info := range newlyLearned {
-			n.originateUpdate(wire.UJoin, info.Node, info, -1)
-		}
+	for _, info := range newlyLearned {
+		n.originateUpdate(wire.UJoin, info.Node, info, -1)
 	}
 	if m.Ask {
-		reply := &wire.DirectoryMsg{From: n.id, Infos: n.dir.Snapshot()}
-		n.ep.Unicast(topoHost(m.From), wire.Encode(reply))
+		n.ep.Unicast(topoHost(m.From), wire.EncodeDirectory(n.id, false, n.dir))
 	}
 }

@@ -508,8 +508,7 @@ func (n *Node) publishDirectory(level int) {
 		n.stats.RelaysStarved++
 		return
 	}
-	msg := &wire.DirectoryMsg{From: n.id, Infos: n.dir.Snapshot()}
-	n.ep.Multicast(n.channelOf(level), n.cfg.ttl(level), n.enc.AppendEncode(nil, msg))
+	n.ep.Multicast(n.channelOf(level), n.cfg.ttl(level), wire.EncodeDirectory(n.id, false, n.dir))
 }
 
 // Receive feeds one delivered packet into the protocol. The node installs

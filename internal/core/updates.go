@@ -38,8 +38,7 @@ func (n *Node) emitUpdate(u wire.Update, exceptLevel int) {
 	copy(n.recent[1:], n.recent)
 	n.recent[0] = u
 	// Sequences are per channel so a channel skipped by one emit does not
-	// look lossy to its subscribers. The messages borrow n.recent directly:
-	// encoding consumes it synchronously and nothing below mutates it.
+	// look lossy to its subscribers.
 	starved := n.relayStarved()
 	for _, lv := range n.levels {
 		if !lv.joined || lv.level == exceptLevel {
@@ -53,8 +52,7 @@ func (n *Node) emitUpdate(u wire.Update, exceptLevel int) {
 			continue
 		}
 		n.outSeq[lv.level]++
-		msg := &wire.UpdateMsg{Sender: n.id, Seq: n.outSeq[lv.level], Updates: n.recent}
-		n.ep.Multicast(n.channelOf(lv.level), n.cfg.ttl(lv.level), n.enc.AppendEncode(nil, msg))
+		n.ep.Multicast(n.channelOf(lv.level), n.cfg.ttl(lv.level), wire.EncodeUpdate(n.id, n.outSeq[lv.level], n.recent))
 	}
 }
 
@@ -74,7 +72,7 @@ func (n *Node) onUpdateMsg(level int, m *wire.UpdateMsg) {
 		case knownSender && m.Seq <= last:
 			// Duplicate or reordered; UID dedup below still applies
 			// piggybacked updates we may have missed.
-		case knownSender && m.Seq-last > uint64(len(m.Updates)):
+		case knownSender && m.Seq-last > uint64(m.Len()):
 			// More consecutive losses than the piggyback covers: fall
 			// back to full synchronization with the sender (Message Loss
 			// Detection).
@@ -82,19 +80,25 @@ func (n *Node) onUpdateMsg(level int, m *wire.UpdateMsg) {
 			n.ep.Unicast(topoHost(m.Sender), wire.Encode(&wire.SyncRequest{From: n.id}))
 		}
 	}
-	// Apply oldest-first so causality within the stream is preserved.
-	for i := len(m.Updates) - 1; i >= 0; i-- {
-		n.applyUpdate(m.Updates[i], level, m.Sender)
+	// Apply oldest-first so causality within the stream is preserved. Most
+	// deliveries repeat updates already applied (the piggyback is the loss
+	// recovery), so each is checked by ID before it is decoded.
+	for i := m.Len() - 1; i >= 0; i-- {
+		if n.seen.has(m.ID(i)) {
+			n.stats.DuplicateUpdates++
+			continue
+		}
+		n.applyUpdate(m.At(i), level, m.Sender)
 	}
 }
 
-// applyUpdate applies one membership change if unseen and relays it.
+// applyUpdate applies one membership change and relays it. The caller has
+// just found its ID absent from the seen set.
 func (n *Node) applyUpdate(u wire.Update, level int, relayer membership.NodeID) {
-	if n.seen.has(u.ID) {
-		n.stats.DuplicateUpdates++
-		return
+	if n.seen == nil {
+		n.seen = new(seenSet)
 	}
-	n.markSeen(u.ID)
+	n.seen.add(u.ID)
 	n.stats.UpdatesApplied++
 	now := n.eng.Now()
 	lvl := level

@@ -42,6 +42,9 @@ type Entry struct {
 	// Origin and the fields below are per-holder bookkeeping, not part of
 	// the propagated information.
 	Origin Origin
+	// live marks an occupied slot of the directory's entry slab (it sits
+	// in Origin's padding, so it costs no space).
+	live bool
 	// Level is the tree level (for direct entries, the lowest channel the
 	// member was heard on; for relayed entries, the level whose leader
 	// relayed it).
@@ -101,13 +104,18 @@ type tombstone struct {
 // loop); the public tamp API wraps it with locking for client access.
 type Directory struct {
 	owner NodeID
-	// dense holds entries for IDs in [0, maxDense) — every ID real
-	// deployments mint — indexed directly; entries is the exact-semantics
+	// self is the owner's own entry. It lives outside the slab, so a
+	// directory that knows only itself allocates no slab.
+	self Entry
+	// slab holds the entries for IDs in [0, maxDense) — every ID real
+	// deployments mint — by value, indexed by node ID: merging a snapshot
+	// (records arrive in node order) walks one contiguous array instead of
+	// chasing a pointer per entry. It grows to the highest ID present,
+	// rounded up to slabRound slots. entries is the exact-semantics
 	// fallback for IDs outside that window (hostile or misconfigured), so
-	// a wild ID in a CRC-valid packet costs at most the bounded dense
-	// slice, never an attacker-sized allocation. Lookups on the heartbeat
-	// path are array loads instead of map probes.
-	dense    []*Entry
+	// a wild ID in a CRC-valid packet costs at most the bounded slab,
+	// never an attacker-sized allocation.
+	slab     []Entry
 	entries  map[NodeID]*Entry
 	sorted   []NodeID // entry keys in ascending order, maintained incrementally
 	tombs    map[NodeID]tombstone
@@ -170,7 +178,7 @@ func (d *Directory) ChangesSince(t time.Duration) (events []Event, complete bool
 
 // NewDirectory creates a directory owned by node owner.
 func NewDirectory(owner NodeID) *Directory {
-	return &Directory{owner: owner, entries: make(map[NodeID]*Entry), tombs: make(map[NodeID]tombstone)}
+	return &Directory{owner: owner}
 }
 
 // SetTombstoneTTL enables rejection of relayed re-additions of removed
@@ -220,51 +228,68 @@ func (d *Directory) emit(t EventType, n NodeID, now time.Duration) {
 	}
 }
 
-// maxDense bounds the directly-indexed entry window; see Directory.dense.
+// maxDense bounds the slab's ID window; see Directory.slab.
 const maxDense = 1 << 16
 
+// slabRound is the slab's growth granule: small clusters keep a tight slab,
+// and the rounding still spares a reallocation for most ascending joins.
+const slabRound = 16
+
 func (d *Directory) get(n NodeID) *Entry {
-	if uint32(n) < uint32(len(d.dense)) {
-		return d.dense[n]
+	var e *Entry
+	switch {
+	case n == d.owner:
+		e = &d.self
+	case uint32(n) < uint32(len(d.slab)):
+		e = &d.slab[n]
+	default:
+		return d.entries[n]
 	}
-	return d.entries[n]
+	if !e.live {
+		return nil
+	}
+	return e
 }
 
-func (d *Directory) put(n NodeID, e *Entry) {
-	if n >= 0 && n < maxDense {
-		if int(n) >= len(d.dense) {
-			grown := make([]*Entry, growTo(int(n)+1))
-			copy(grown, d.dense)
-			d.dense = grown
-		}
-		d.dense[n] = e
-		return
+// slot returns the storage for a new entry for n, growing the slab or the
+// fallback map as needed.
+func (d *Directory) slot(n NodeID) *Entry {
+	switch {
+	case n == d.owner:
+		return &d.self
+	case n >= 0 && n < maxDense:
+		d.Reserve(n)
+		return &d.slab[n]
 	}
 	if d.entries == nil {
 		d.entries = make(map[NodeID]*Entry)
 	}
+	e := new(Entry)
 	d.entries[n] = e
+	return e
+}
+
+// Reserve grows the slab to hold node n. Merging a snapshot — records in
+// ascending node order — after reserving its highest ID grows the slab once
+// instead of every slabRound IDs. IDs outside the slab window are ignored.
+func (d *Directory) Reserve(n NodeID) {
+	if n < 0 || n >= maxDense || int(n) < len(d.slab) {
+		return
+	}
+	grown := make([]Entry, min((int(n)+slabRound)/slabRound*slabRound, maxDense))
+	copy(grown, d.slab)
+	d.slab = grown
 }
 
 func (d *Directory) del(n NodeID) {
-	if uint32(n) < uint32(len(d.dense)) {
-		d.dense[n] = nil
-		return
+	switch {
+	case n == d.owner:
+		d.self = Entry{}
+	case uint32(n) < uint32(len(d.slab)):
+		d.slab[n] = Entry{} // also drops the info's references for the GC
+	default:
+		delete(d.entries, n)
 	}
-	delete(d.entries, n)
-}
-
-// growTo rounds a needed dense length up so repeated joins with ascending
-// IDs reallocate O(log n) times, capped at the bounded window.
-func growTo(need int) int {
-	size := 64
-	for size < need {
-		size *= 2
-	}
-	if size > maxDense {
-		size = maxDense
-	}
-	return size
 }
 
 // Len returns the number of known-alive nodes (including the owner if
@@ -274,7 +299,9 @@ func (d *Directory) Len() int { return len(d.sorted) }
 // Has reports whether node n is currently in the directory.
 func (d *Directory) Has(n NodeID) bool { return d.get(n) != nil }
 
-// Get returns the entry for n, or nil.
+// Get returns the entry for n, or nil. The entry lives in the directory's
+// slab: the pointer stays valid only until the next mutation of this
+// directory (Upsert, Refresh, Remove), which may move or reuse it.
 func (d *Directory) Get(n NodeID) *Entry { return d.get(n) }
 
 // Upsert merges info into the directory. The entry's origin bookkeeping is
@@ -292,10 +319,10 @@ func (d *Directory) Upsert(info MemberInfo, origin Origin, level int, relayer No
 	}
 	e := d.get(info.Node)
 	if e == nil {
-		d.put(info.Node, &Entry{
-			Info: info, Origin: origin, Level: level, Relayer: relayer,
+		*d.slot(info.Node) = Entry{
+			Info: info, Origin: origin, live: true, Level: level, Relayer: relayer,
 			LastRefresh: now, Counter: info.Beat,
-		})
+		}
 		d.sortedInsert(info.Node)
 		d.emit(EventJoin, info.Node, now)
 		return true
@@ -350,6 +377,9 @@ func (d *Directory) Remove(n NodeID, now time.Duration) bool {
 		return false
 	}
 	if d.tombTTL > 0 {
+		if d.tombs == nil {
+			d.tombs = make(map[NodeID]tombstone)
+		}
 		d.tombs[n] = tombstone{at: now, inc: e.Info.Incarnation, beat: e.Counter}
 		// Opportunistic pruning keeps the map bounded.
 		for tn, ts := range d.tombs {
@@ -387,7 +417,9 @@ func (d *Directory) Nodes() []NodeID {
 
 // Range calls fn for every entry in ascending node order without allocating
 // a key slice — the auditor walks every directory every sampling tick, so
-// the copy Nodes() makes matters there. fn must not add or remove entries.
+// the copy Nodes() makes matters there. fn must not mutate the directory,
+// and each *Entry is valid only until the directory's next mutation (see
+// Get).
 func (d *Directory) Range(fn func(NodeID, *Entry)) {
 	for _, n := range d.sorted {
 		fn(n, d.get(n))

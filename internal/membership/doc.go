@@ -15,7 +15,9 @@
 //
 //   - NodeID and MemberInfo: a node's identity and its published record
 //     (incarnation, version, liveness beat, ServiceDecl list, attributes).
-//   - Directory: the yellow page. Upsert merges received records by
+//   - Directory: the yellow page, stored in a node-ID-indexed slab of
+//     entries held by value (a *Entry from Get or Range is valid only
+//     until the directory's next mutation). Upsert merges received records by
 //     (incarnation, version, beat) precedence; Remove tombstones departed
 //     nodes against stale re-addition; Expired implements heartbeat
 //     timeouts; Lookup answers the paper's regex + partition-spec queries;

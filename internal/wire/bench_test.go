@@ -94,3 +94,24 @@ func BenchmarkAppendEncodeUpdate(b *testing.B) {
 	}
 	_ = buf
 }
+
+// BenchmarkDecodeDirectory1000 measures decoding and walking a 1000-record
+// plain snapshot — a bootstrap reply or leader republication at N=1000 —
+// through the record view: one allocation, the message header.
+func BenchmarkDecodeDirectory1000(b *testing.B) {
+	payload := Encode(plainDirectory(1000))
+	b.SetBytes(int64(len(payload)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		m, err := Decode(payload)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for it := m.(*DirectoryMsg).Records(); it.Next(); {
+			nodeSink += it.Info().Node
+		}
+	}
+}
+
+// nodeSink keeps the benchmarked reads from being optimized away.
+var nodeSink membership.NodeID

@@ -70,6 +70,9 @@ func (w *writer) str(s string) {
 	w.buf = append(w.buf, s...)
 }
 
+// strLen is the size w.str writes for s.
+func strLen(s string) int { return 2 + min(len(s), math.MaxUint16) }
+
 // reader is a sticky-error decoder.
 type reader struct {
 	buf []byte
@@ -152,16 +155,18 @@ func (r *reader) str() string {
 	return string(b)
 }
 
-// sliceLen reads and bounds a slice length prefix.
-func (r *reader) sliceLen() int {
+// sliceLen reads and bounds a slice length prefix whose elements each
+// encode to at least minElem bytes. The prefix is refused unless the rest
+// of the packet could hold that many elements, so a hostile count cannot
+// make a decoder pre-allocate more than a small multiple of the packet
+// length before it fails as truncated.
+func (r *reader) sliceLen(minElem int) int {
 	n := int(r.u32())
 	if n > maxSliceLen {
 		r.fail(fmt.Errorf("wire: slice length %d exceeds limit", n))
 		return 0
 	}
-	// A non-empty slice needs at least one byte per element; cheap sanity
-	// bound against hostile prefixes.
-	if r.err == nil && n > len(r.buf)-r.off {
+	if r.err == nil && n*minElem > len(r.buf)-r.off {
 		r.fail(ErrTruncated)
 		return 0
 	}

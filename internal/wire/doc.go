@@ -24,5 +24,11 @@
 //     type).
 //   - Decode(b): strict parse, returning one of the concrete message
 //     types or an error (ErrTruncated, ErrTrailing, bad magic/version).
+//     A decoded UpdateMsg or DirectoryMsg is a read-only view over b
+//     (view.go): callers read it through Len/ID/At and Records instead of
+//     the Updates/Infos slices a sender fills.
+//   - EncodeDirectory(from, ask, dir) and EncodeUpdate(sender, seq,
+//     updates): a DirectoryMsg framed straight from a membership.Directory,
+//     and an UpdateMsg, each into one exactly sized buffer.
 //   - Type: the packet-type tag carried in the header.
 package wire

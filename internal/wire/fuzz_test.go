@@ -1,6 +1,11 @@
 package wire
 
 import (
+	"bytes"
+	"fmt"
+	"hash/crc32"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/membership"
@@ -106,6 +111,172 @@ func FuzzRapidAlert(f *testing.F) {
 			if len(v.Members) > len(data) {
 				t.Fatalf("decoded %d members from %d bytes", len(v.Members), len(data))
 			}
+		}
+	})
+}
+
+// oracleDecode is the materializing decoder that DirectoryMsg and UpdateMsg
+// had before their records became views over the packet bytes: it builds
+// Infos and Updates, and bounds length prefixes by one byte per element
+// only. It reports ok=false for any other packet type.
+func oracleDecode(b []byte) (m Message, ok bool, err error) {
+	if len(b) < HeaderLen || (Type(b[3]) != TDirectory && Type(b[3]) != TUpdate) {
+		return nil, false, nil
+	}
+	r := &reader{buf: b}
+	if r.u16() != Magic || r.u8() != Version {
+		return nil, true, fmt.Errorf("wire: bad header")
+	}
+	t := Type(r.u8())
+	if sum := r.u32(); crc32.Checksum(b[HeaderLen:], crcTable) != sum {
+		return nil, true, ErrChecksum
+	}
+	if t == TDirectory {
+		d := &DirectoryMsg{From: membership.NodeID(r.i32()), Ask: r.bool()}
+		n := r.sliceLen(1)
+		if n > 0 {
+			d.Infos = make([]membership.MemberInfo, 0, n)
+		}
+		for i := 0; i < n && r.err == nil; i++ {
+			d.Infos = append(d.Infos, decInfo(r))
+		}
+		m = d
+	} else {
+		u := &UpdateMsg{Sender: membership.NodeID(r.i32()), Seq: r.u64()}
+		n := r.sliceLen(1)
+		if n > 0 {
+			u.Updates = make([]Update, 0, n)
+		}
+		for i := 0; i < n && r.err == nil; i++ {
+			var up Update
+			up.ID.Origin = membership.NodeID(r.i32())
+			up.ID.Counter = r.u32()
+			up.Kind = UpdateKind(r.u8())
+			if r.err == nil && (up.Kind < UJoin || up.Kind > UDepart) {
+				r.fail(fmt.Errorf("wire: invalid update kind %d", uint8(up.Kind)))
+			}
+			up.Subject = membership.NodeID(r.i32())
+			hasInfo := r.bool()
+			if r.err == nil && hasInfo != (up.Kind == UJoin || up.Kind == UChange) {
+				r.fail(fmt.Errorf("wire: update info flag inconsistent with kind %v", up.Kind))
+			}
+			if hasInfo {
+				up.Info = decInfo(r)
+			}
+			u.Updates = append(u.Updates, up)
+		}
+		m = u
+	}
+	if err := r.done(); err != nil {
+		return nil, true, err
+	}
+	return m, true, nil
+}
+
+// viewCorpus returns directory and update packets for the view fuzzers:
+// valid ones (plain, service-bearing, mixed, empty), and truncated,
+// bit-flipped and hostile-count variants, all with valid checksums.
+func viewCorpus() [][]byte {
+	plain := membership.MemberInfo{Node: 3, Incarnation: 1, Version: 2, Beat: 9}
+	attrOnly := membership.MemberInfo{Node: 4, Attrs: []membership.KV{{Key: "k", Value: "v"}}}
+	valid := [][]byte{
+		Encode(&DirectoryMsg{From: 4, Ask: true, Infos: []membership.MemberInfo{sampleInfo(), plain}}),
+		Encode(&DirectoryMsg{From: 1, Infos: []membership.MemberInfo{plain, attrOnly, sampleInfo(), plain}}),
+		Encode(&DirectoryMsg{From: 2}),
+		Encode(&UpdateMsg{Sender: 3, Seq: 9, Updates: []Update{
+			{ID: UpdateID{Origin: 3, Counter: 9}, Kind: ULeave, Subject: 5},
+			{ID: UpdateID{Origin: 2, Counter: 1}, Kind: UJoin, Subject: 6, Info: sampleInfo()},
+			{ID: UpdateID{Origin: 2, Counter: 2}, Kind: UChange, Subject: 3, Info: plain},
+			{ID: UpdateID{Origin: 1, Counter: 7}, Kind: UDepart, Subject: 1},
+		}}),
+		Encode(&UpdateMsg{Sender: 1, Seq: 1}),
+	}
+	out := append([][]byte(nil), valid...)
+	rng := rand.New(rand.NewSource(12))
+	for _, v := range valid {
+		for cut := HeaderLen; cut < len(v); cut += 1 + len(v)/7 {
+			out = append(out, reseal(append([]byte(nil), v[:cut]...)))
+		}
+		for k := 0; k < 4; k++ {
+			b := append([]byte(nil), v...)
+			b[HeaderLen+rng.Intn(len(b)-HeaderLen)] ^= byte(1 << rng.Intn(8))
+			out = append(out, reseal(b))
+		}
+	}
+	for _, t := range []Type{TDirectory, TUpdate} {
+		out = append(out, hostileCount(t, 60000, 4096))
+	}
+	return out
+}
+
+// hostileCount builds a checksum-valid packet of type t whose first length
+// prefix claims count elements, followed by size bytes of zeros.
+func hostileCount(t Type, count uint32, size int) []byte {
+	w := &writer{}
+	w.begin(t)
+	switch t {
+	case TDirectory:
+		w.i32(1)
+		w.bool(false)
+	case TUpdate:
+		w.i32(1)
+		w.u64(1)
+	case TGossip:
+		w.i32(1)
+	case TProxySummary:
+		w.u16(0)
+		w.u64(1)
+		w.u16(0)
+		w.u16(1)
+	case TDirMatches:
+		w.bool(true)
+		w.str("")
+	case TRapidView:
+		w.u64(1)
+		w.i32(0)
+		w.u32(0) // no members; the infos list carries the count
+	}
+	w.u32(count)
+	w.buf = append(w.buf, make([]byte, size)...)
+	return reseal(w.buf)
+}
+
+// FuzzDirectoryView checks the DirectoryMsg/UpdateMsg views against the
+// materializing oracle: for any body (the checksum is recomputed so
+// mutations reach the decoders) the view accepts exactly what the oracle
+// accepts, yields the records the oracle builds, and re-encodes to the
+// input bytes.
+func FuzzDirectoryView(f *testing.F) {
+	for _, b := range viewCorpus() {
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		data = reseal(append([]byte(nil), data...))
+		want, ok, werr := oracleDecode(data)
+		if !ok {
+			return
+		}
+		got, err := Decode(data)
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("view err = %v, oracle err = %v", err, werr)
+		}
+		if err != nil {
+			return
+		}
+		if !reflect.DeepEqual(materialize(got), want) {
+			t.Fatalf("view records differ from the oracle's:\n view: %#v\noracle: %#v", materialize(got), want)
+		}
+		if d, ok := got.(*DirectoryMsg); ok {
+			hi := membership.NoNode
+			for _, info := range want.(*DirectoryMsg).Infos {
+				hi = max(hi, info.Node)
+			}
+			if d.MaxNode() != hi {
+				t.Fatalf("view MaxNode %v, oracle's records give %v", d.MaxNode(), hi)
+			}
+		}
+		if re := Encode(got); !bytes.Equal(re, data) {
+			t.Fatalf("re-encoding the view changed the bytes:\n%x\n%x", data, re)
 		}
 	})
 }

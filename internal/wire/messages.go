@@ -109,12 +109,24 @@ func Encode(m Message) []byte {
 
 // encodeInto appends one framed packet (header + body + patched CRC) to w.
 func encodeInto(w *writer, m Message) {
+	start := w.begin(m.wireType())
+	m.enc(w)
+	w.seal(start)
+}
+
+// begin appends a packet header with a checksum placeholder and returns
+// the packet's start offset for seal.
+func (w *writer) begin(t Type) int {
 	start := len(w.buf)
 	w.u16(Magic)
 	w.u8(Version)
-	w.u8(uint8(m.wireType()))
-	w.u32(0) // checksum placeholder, filled below
-	m.enc(w)
+	w.u8(uint8(t))
+	w.u32(0)
+	return start
+}
+
+// seal writes the checksum of the body encoded since begin into its header.
+func (w *writer) seal(start int) {
 	binary.LittleEndian.PutUint32(w.buf[start+4:start+8], crc32.Checksum(w.buf[start+HeaderLen:], crcTable))
 }
 
@@ -225,6 +237,24 @@ func Decode(b []byte) (Message, error) {
 
 // ---- shared sub-encodings ----
 
+// Minimum encoded sizes of repeated elements, passed to reader.sliceLen so
+// a length prefix is refused unless the packet could hold that many.
+const (
+	minStrLen         = 2 // the length prefix of an empty string
+	minKVLen          = 2 * minStrLen
+	minServiceLen     = minStrLen + 4 + 4    // no partitions, no params
+	minInfoLen        = infoFixedLen + 4 + 4 // no services, no attrs
+	minUpdateLen      = 4 + 4 + 1 + 4 + 1    // a leave: no info
+	minGossipEntryLen = 8 + minInfoLen
+	minSummaryLen     = minStrLen + 4 + 4 // no partitions, node count
+	minDirMatchLen    = 4 + minStrLen + 4 + 4 + 4
+	int32Len          = 4
+)
+
+// infoFixedLen is the size of a MemberInfo record's fixed prefix: node,
+// incarnation, version and beat.
+const infoFixedLen = 4 + 4 + 8 + 8
+
 func encKVs(w *writer, kvs []membership.KV) {
 	w.u32(uint32(len(kvs)))
 	for _, kv := range kvs {
@@ -234,7 +264,7 @@ func encKVs(w *writer, kvs []membership.KV) {
 }
 
 func decKVs(r *reader) []membership.KV {
-	n := r.sliceLen()
+	n := r.sliceLen(minKVLen)
 	if n == 0 {
 		return nil
 	}
@@ -247,7 +277,7 @@ func decKVs(r *reader) []membership.KV {
 	return out
 }
 
-func encInfo(w *writer, m membership.MemberInfo) {
+func encInfo(w *writer, m *membership.MemberInfo) {
 	w.i32(int32(m.Node))
 	w.u32(m.Incarnation)
 	w.u64(m.Version)
@@ -264,20 +294,45 @@ func encInfo(w *writer, m membership.MemberInfo) {
 	encKVs(w, m.Attrs)
 }
 
+// infoLen is the size encInfo writes for m.
+func infoLen(m *membership.MemberInfo) int {
+	n := minInfoLen
+	for _, s := range m.Services {
+		n += strLen(s.Name) + 4 + int32Len*len(s.Partitions) + kvsLen(s.Params)
+	}
+	return n + kvsLen(m.Attrs) - 4
+}
+
+func kvsLen(kvs []membership.KV) int {
+	n := 4
+	for _, kv := range kvs {
+		n += strLen(kv.Key) + strLen(kv.Value)
+	}
+	return n
+}
+
 func decInfo(r *reader) membership.MemberInfo {
 	var m membership.MemberInfo
 	m.Node = membership.NodeID(r.i32())
 	m.Incarnation = r.u32()
 	m.Version = r.u64()
 	m.Beat = r.u64()
-	ns := r.sliceLen()
+	m.Services, m.Attrs = decInfoTail(r)
+	return m
+}
+
+// decInfoTail decodes the variable part of a MemberInfo record: its
+// services and attributes, both nil when the record carries none.
+func decInfoTail(r *reader) ([]membership.ServiceDecl, []membership.KV) {
+	var services []membership.ServiceDecl
+	ns := r.sliceLen(minServiceLen)
 	if ns > 0 {
-		m.Services = make([]membership.ServiceDecl, 0, ns)
+		services = make([]membership.ServiceDecl, 0, ns)
 	}
 	for i := 0; i < ns && r.err == nil; i++ {
 		var s membership.ServiceDecl
 		s.Name = r.str()
-		np := r.sliceLen()
+		np := r.sliceLen(int32Len)
 		if np > 0 {
 			s.Partitions = make([]int32, 0, np)
 		}
@@ -285,21 +340,20 @@ func decInfo(r *reader) membership.MemberInfo {
 			s.Partitions = append(s.Partitions, r.i32())
 		}
 		s.Params = decKVs(r)
-		m.Services = append(m.Services, s)
+		services = append(services, s)
 	}
-	m.Attrs = decKVs(r)
-	return m
+	return services, decKVs(r)
 }
 
 func encInfos(w *writer, infos []membership.MemberInfo) {
 	w.u32(uint32(len(infos)))
-	for _, m := range infos {
-		encInfo(w, m)
+	for i := range infos {
+		encInfo(w, &infos[i])
 	}
 }
 
 func decInfos(r *reader) []membership.MemberInfo {
-	n := r.sliceLen()
+	n := r.sliceLen(minInfoLen)
 	if n == 0 {
 		return nil
 	}
@@ -331,7 +385,7 @@ type Heartbeat struct {
 func (*Heartbeat) wireType() Type { return THeartbeat }
 
 func (h *Heartbeat) enc(w *writer) {
-	encInfo(w, h.Info)
+	encInfo(w, &h.Info)
 	w.u8(h.Level)
 	w.bool(h.Leader)
 	w.i32(int32(h.Backup))
@@ -401,62 +455,139 @@ type Update struct {
 	Info    membership.MemberInfo // valid for UJoin/UChange
 }
 
+func (k UpdateKind) hasInfo() bool { return k == UJoin || k == UChange }
+
 // UpdateMsg carries the newest update plus up to the last piggybackDepth
 // previous updates from the same sender (paper §3.1.2, Message Loss
 // Detection: "we let an update message piggyback last three updates").
-// Seq is the per-sender update stream sequence number of Updates[0];
-// Updates[i] has sequence Seq-i.
+// Seq is the per-sender update stream sequence number of the first
+// (newest) update; the i-th has sequence Seq-i.
 type UpdateMsg struct {
-	Sender  membership.NodeID
-	Seq     uint64
+	Sender membership.NodeID
+	Seq    uint64
+	// Updates is the list a sender encodes, newest first. A decoded
+	// message leaves it nil: its updates are a read-only view over the
+	// packet bytes, read through Len, ID and At (which read only that
+	// view).
 	Updates []Update
+	view    records
+	// pos locates each viewed update; it points into inline for the usual
+	// piggyback depth, so decoding costs one allocation.
+	pos    []updatePos
+	inline [4]updatePos
+}
+
+// updatePos locates one viewed update: its offset in the view and the
+// index of its info's tail (meaningful only if it has one).
+type updatePos struct {
+	off, tail int32
 }
 
 func (*UpdateMsg) wireType() Type { return TUpdate }
 
+// Len returns the number of updates a decoded message carries.
+func (u *UpdateMsg) Len() int { return len(u.pos) }
+
+// ID returns a decoded message's i-th update ID (0 is the newest) without
+// decoding the rest of the update — all a receiver needs to reject a
+// duplicate.
+func (u *UpdateMsg) ID(i int) UpdateID {
+	b := u.view.raw[u.pos[i].off:]
+	return UpdateID{
+		Origin:  membership.NodeID(binary.LittleEndian.Uint32(b)),
+		Counter: binary.LittleEndian.Uint32(b[4:]),
+	}
+}
+
+// At returns a decoded message's i-th update (0 is the newest). Its info's
+// Services and Attrs are shared with every other reader of the message and
+// must be treated as immutable.
+func (u *UpdateMsg) At(i int) Update {
+	p := u.pos[i]
+	b := u.view.raw[p.off : p.off+minUpdateLen]
+	up := Update{
+		ID:      u.ID(i),
+		Kind:    UpdateKind(b[8]),
+		Subject: membership.NodeID(binary.LittleEndian.Uint32(b[9:])),
+	}
+	if b[13] != 0 { // carries info
+		t := int(p.tail)
+		up.Info, _ = u.view.info(int(p.off)+minUpdateLen, &t)
+	}
+	return up
+}
+
 func (u *UpdateMsg) enc(w *writer) {
 	w.i32(int32(u.Sender))
 	w.u64(u.Seq)
-	w.u32(uint32(len(u.Updates)))
-	for _, up := range u.Updates {
+	if u.Updates == nil {
+		u.view.enc(w)
+		return
+	}
+	encUpdates(w, u.Updates)
+}
+
+func encUpdates(w *writer, updates []Update) {
+	w.u32(uint32(len(updates)))
+	for i := range updates {
+		up := &updates[i]
 		w.i32(int32(up.ID.Origin))
 		w.u32(up.ID.Counter)
 		w.u8(uint8(up.Kind))
 		w.i32(int32(up.Subject))
-		hasInfo := up.Kind == UJoin || up.Kind == UChange
-		w.bool(hasInfo)
-		if hasInfo {
-			encInfo(w, up.Info)
+		w.bool(up.Kind.hasInfo())
+		if up.Kind.hasInfo() {
+			encInfo(w, &up.Info)
 		}
 	}
 }
 
+// EncodeUpdate frames the UpdateMsg {Sender: sender, Seq: seq, Updates:
+// updates} — the bytes Encode produces for it — into one exactly sized
+// buffer, so an update emission allocates only its payload.
+func EncodeUpdate(sender membership.NodeID, seq uint64, updates []Update) []byte {
+	size := HeaderLen + 4 + 8 + 4
+	for i := range updates {
+		size += minUpdateLen
+		if updates[i].Kind.hasInfo() {
+			size += infoLen(&updates[i].Info)
+		}
+	}
+	w := writer{buf: make([]byte, 0, size)}
+	start := w.begin(TUpdate)
+	w.i32(int32(sender))
+	w.u64(seq)
+	encUpdates(&w, updates)
+	w.seal(start)
+	return w.buf
+}
+
+// decUpdateMsg validates every update (kinds, info flags, nested lengths)
+// and keeps the list as a view; see records.
 func decUpdateMsg(r *reader) *UpdateMsg {
 	u := &UpdateMsg{}
 	u.Sender = membership.NodeID(r.i32())
 	u.Seq = r.u64()
-	n := r.sliceLen()
-	if n > 0 {
-		u.Updates = make([]Update, 0, n)
-	}
+	n := r.sliceLen(minUpdateLen)
+	u.pos = u.inline[:0]
+	start := r.off
 	for i := 0; i < n && r.err == nil; i++ {
-		var up Update
-		up.ID.Origin = membership.NodeID(r.i32())
-		up.ID.Counter = r.u32()
-		up.Kind = UpdateKind(r.u8())
-		if r.err == nil && (up.Kind < UJoin || up.Kind > UDepart) {
-			r.fail(fmt.Errorf("wire: invalid update kind %d", uint8(up.Kind)))
+		u.pos = append(u.pos, updatePos{off: int32(r.off - start), tail: int32(len(u.view.tails))})
+		r.take(4 + 4) // ID
+		kind := UpdateKind(r.u8())
+		if r.err == nil && (kind < UJoin || kind > UDepart) {
+			r.fail(fmt.Errorf("wire: invalid update kind %d", uint8(kind)))
 		}
-		up.Subject = membership.NodeID(r.i32())
+		r.take(4) // subject
 		hasInfo := r.bool()
-		if r.err == nil && hasInfo != (up.Kind == UJoin || up.Kind == UChange) {
-			r.fail(fmt.Errorf("wire: update info flag inconsistent with kind %v", up.Kind))
+		if r.err == nil && hasInfo != kind.hasInfo() {
+			r.fail(fmt.Errorf("wire: update info flag inconsistent with kind %v", kind))
 		}
 		if hasInfo {
-			up.Info = decInfo(r)
+			u.view.decInfo(r, start, n-i)
 		}
-		u.Updates = append(u.Updates, up)
 	}
+	u.view.finish(r, start, n)
 	return u
 }
 
@@ -488,24 +619,69 @@ type DirectoryMsg struct {
 	From membership.NodeID
 	// Ask requests the receiver to send its own snapshot back (used for
 	// the bidirectional bootstrap exchange).
-	Ask   bool
-	Infos []membership.MemberInfo
+	Ask bool
+	// Infos is the snapshot a sender encodes (EncodeDirectory encodes one
+	// straight from a directory instead). A decoded message leaves it nil:
+	// its records are a read-only view over the packet bytes, read through
+	// Records and MaxNode (which read only that view).
+	Infos   []membership.MemberInfo
+	view    records
+	maxNode membership.NodeID // highest record ID of a decoded message
 }
 
 func (*DirectoryMsg) wireType() Type { return TDirectory }
 
+// MaxNode returns the highest node ID among a decoded message's records,
+// or NoNode when there are none, so a receiver can size its directory
+// before merging.
+func (d *DirectoryMsg) MaxNode() membership.NodeID { return d.maxNode }
+
+// Records iterates a decoded message's records in order without
+// materializing them.
+func (d *DirectoryMsg) Records() InfoIter { return InfoIter{v: &d.view} }
+
 func (d *DirectoryMsg) enc(w *writer) {
 	w.i32(int32(d.From))
 	w.bool(d.Ask)
+	if d.Infos == nil {
+		d.view.enc(w)
+		return
+	}
 	encInfos(w, d.Infos)
 }
 
+// decDirectoryMsg validates every record and keeps them as a view; see
+// records.
 func decDirectoryMsg(r *reader) *DirectoryMsg {
-	d := &DirectoryMsg{}
+	d := &DirectoryMsg{maxNode: membership.NoNode}
 	d.From = membership.NodeID(r.i32())
 	d.Ask = r.bool()
-	d.Infos = decInfos(r)
+	n := r.sliceLen(minInfoLen)
+	start := r.off
+	for i := 0; i < n && r.err == nil; i++ {
+		if node := d.view.decInfo(r, start, n-i); node > d.maxNode {
+			d.maxNode = node
+		}
+	}
+	d.view.finish(r, start, n)
 	return d
+}
+
+// EncodeDirectory frames a DirectoryMsg carrying every entry of dir in
+// node order — the bytes Encode produces for &DirectoryMsg{From: from,
+// Ask: ask, Infos: dir.Snapshot()} — straight from the directory into one
+// exactly sized buffer, without the snapshot's deep copy.
+func EncodeDirectory(from membership.NodeID, ask bool, dir *membership.Directory) []byte {
+	size := HeaderLen + 4 + 1 + 4
+	dir.Range(func(_ membership.NodeID, e *membership.Entry) { size += infoLen(&e.Info) })
+	w := writer{buf: make([]byte, 0, size)}
+	start := w.begin(TDirectory)
+	w.i32(int32(from))
+	w.bool(ask)
+	w.u32(uint32(dir.Len()))
+	dir.Range(func(_ membership.NodeID, e *membership.Entry) { encInfo(&w, &e.Info) })
+	w.seal(start)
+	return w.buf
 }
 
 // SyncRequest asks the sender of lost updates for a full directory.
@@ -547,7 +723,7 @@ func (g *Gossip) enc(w *writer) {
 	w.u32(uint32(len(g.Entries)))
 	for _, e := range g.Entries {
 		w.u64(e.Counter)
-		encInfo(w, e.Info)
+		encInfo(w, &e.Info)
 	}
 	w.u32(g.Pad)
 	for i := uint32(0); i < g.Pad; i++ {
@@ -557,7 +733,7 @@ func (g *Gossip) enc(w *writer) {
 
 func decGossip(r *reader) *Gossip {
 	g := &Gossip{From: membership.NodeID(r.i32())}
-	n := r.sliceLen()
+	n := r.sliceLen(minGossipEntryLen)
 	if n > 0 {
 		g.Entries = make([]GossipEntry, 0, n)
 	}
@@ -610,7 +786,7 @@ func encSummaryEntries(w *writer, entries []SummaryEntry) {
 }
 
 func decSummaryEntries(r *reader) []SummaryEntry {
-	n := r.sliceLen()
+	n := r.sliceLen(minSummaryLen)
 	if n == 0 {
 		return nil
 	}
@@ -618,7 +794,7 @@ func decSummaryEntries(r *reader) []SummaryEntry {
 	for i := 0; i < n && r.err == nil; i++ {
 		var e SummaryEntry
 		e.Service = r.str()
-		np := r.sliceLen()
+		np := r.sliceLen(int32Len)
 		if np > 0 {
 			e.Partitions = make([]int32, 0, np)
 		}
@@ -675,7 +851,7 @@ func decProxyUpdate(r *reader) *ProxyUpdate {
 	p.DC = r.u16()
 	p.Seq = r.u64()
 	p.Upserts = decSummaryEntries(r)
-	n := r.sliceLen()
+	n := r.sliceLen(minStrLen)
 	for i := 0; i < n && r.err == nil; i++ {
 		p.Removes = append(p.Removes, r.str())
 	}
@@ -715,7 +891,7 @@ func decServiceRequest(r *reader) *ServiceRequest {
 	s.Service = r.str()
 	s.Partition = r.i32()
 	s.Hops = r.u8()
-	n := r.sliceLen()
+	n := r.sliceLen(1)
 	if b := r.take(n); b != nil {
 		s.Payload = append([]byte(nil), b...)
 	}
@@ -743,7 +919,7 @@ func decServiceReply(r *reader) *ServiceReply {
 	s := &ServiceReply{}
 	s.ReqID = r.u64()
 	s.OK = r.bool()
-	n := r.sliceLen()
+	n := r.sliceLen(1)
 	if b := r.take(n); b != nil {
 		s.Payload = append([]byte(nil), b...)
 	}
@@ -869,12 +1045,15 @@ func decDirMatches(r *reader) *DirMatches {
 	m := &DirMatches{}
 	m.OK = r.bool()
 	m.Error = r.str()
-	n := r.sliceLen()
+	n := r.sliceLen(minDirMatchLen)
+	if n > 0 {
+		m.Matches = make([]DirMatch, 0, n)
+	}
 	for i := 0; i < n && r.err == nil; i++ {
 		var dm DirMatch
 		dm.Node = membership.NodeID(r.i32())
 		dm.Service = r.str()
-		np := r.sliceLen()
+		np := r.sliceLen(int32Len)
 		for j := 0; j < np && r.err == nil; j++ {
 			dm.Partitions = append(dm.Partitions, r.i32())
 		}
@@ -936,7 +1115,7 @@ func (*RapidInfo) wireType() Type { return TRapidInfo }
 
 func (m *RapidInfo) enc(w *writer) {
 	w.u64(m.ConfigSeq)
-	encInfo(w, m.Info)
+	encInfo(w, &m.Info)
 }
 
 func decRapidInfo(r *reader) *RapidInfo {
@@ -993,7 +1172,7 @@ func (*RapidJoin) wireType() Type { return TRapidJoin }
 func (j *RapidJoin) enc(w *writer) {
 	w.i32(int32(j.From))
 	w.u64(j.ConfigSeq)
-	encInfo(w, j.Info)
+	encInfo(w, &j.Info)
 }
 
 func decRapidJoin(r *reader) *RapidJoin {
@@ -1031,7 +1210,7 @@ func decRapidView(r *reader) *RapidView {
 	v := &RapidView{}
 	v.Seq = r.u64()
 	v.Proposer = membership.NodeID(r.i32())
-	n := r.sliceLen()
+	n := r.sliceLen(int32Len)
 	if n > 0 {
 		v.Members = make([]membership.NodeID, 0, n)
 	}
@@ -1128,7 +1307,7 @@ func decRapidPropose(r *reader) *RapidPropose {
 	p.From = membership.NodeID(r.i32())
 	p.Token = r.u64()
 	p.Seq = r.u64()
-	n := r.sliceLen()
+	n := r.sliceLen(int32Len)
 	if n > 0 {
 		p.Evict = make([]membership.NodeID, 0, n)
 	}
@@ -1167,7 +1346,7 @@ func decRapidVote(r *reader) *RapidVote {
 	v.From = membership.NodeID(r.i32())
 	v.Token = r.u64()
 	v.OK = r.bool()
-	n := r.sliceLen()
+	n := r.sliceLen(int32Len)
 	if n > 0 {
 		v.Alive = make([]membership.NodeID, 0, n)
 	}
@@ -1238,7 +1417,7 @@ func decReform(r *reader) *Reform {
 	f.From = membership.NodeID(r.i32())
 	f.Epoch = r.u64()
 	f.NewChannel = r.u32()
-	n := r.sliceLen()
+	n := r.sliceLen(int32Len)
 	if n > 0 {
 		f.Movers = make([]membership.NodeID, 0, n)
 	}
